@@ -10,7 +10,8 @@ designer from ../src) into $CARGO_TARGET_DIR/perfbench, or
 .bench_build/perfbench when that variable is unset; later runs only
 rebuild what changed. Build output goes to stderr, so the last line of
 stdout is always the result of the last workload. A "# host" line
-records the host fingerprint with the numbers.
+records the host fingerprint with the numbers. Each workload runs in a
+process of its own; `all` runs every workload of BENCHMARK.json in turn.
 
 --selftest builds and runs the checker's self-test instead.
 """
@@ -29,7 +30,7 @@ from pathlib import Path
 
 BENCH_DIR = Path(__file__).resolve().parent
 ROOT = BENCH_DIR.parent
-# One run may take this long once built (checks included).
+# One workload's run may take this long once built (checks included).
 RUN_TIMEOUT_S = 170
 
 
@@ -137,17 +138,25 @@ def main():
     print("# host " + json.dumps(host_fingerprint(), sort_keys=True), flush=True)
     scratch = build_dir() / "run-tmp"
     scratch.mkdir(parents=True, exist_ok=True)
-    cmd = [str(binary), "--workload", args.workload, "--seed", str(args.seed),
-           "--seconds", str(args.seconds), "--trace", args.trace,
-           "--scratch", str(scratch)]
-    proc = subprocess.Popen(cmd)
-    try:
-        return proc.wait(timeout=RUN_TIMEOUT_S)
-    except subprocess.TimeoutExpired:
-        proc.kill()
-        proc.wait()
-        log(f"run exceeded {RUN_TIMEOUT_S} s and was stopped")
-        return 3
+    workloads = [args.workload]
+    if args.workload == "all":
+        spec = json.loads((ROOT / "BENCHMARK.json").read_text())
+        workloads = [w["name"] for w in spec["workloads"]]
+    status = 0
+    for workload in workloads:
+        cmd = [str(binary), "--workload", workload, "--seed", str(args.seed),
+               "--seconds", str(args.seconds), "--trace", args.trace,
+               "--scratch", str(scratch)]
+        proc = subprocess.Popen(cmd)
+        try:
+            code = proc.wait(timeout=RUN_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            proc.kill()
+            proc.wait()
+            log(f"{workload} exceeded {RUN_TIMEOUT_S} s and was stopped")
+            code = 3
+        status = status or code
+    return status
 
 
 if __name__ == "__main__":

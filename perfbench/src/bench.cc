@@ -1,10 +1,13 @@
 #include "bench.h"
 
+#include <malloc.h>
 #include <sys/resource.h>
+#include <unistd.h>
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
+#include <cstdio>
 
 #include "util/str.h"
 
@@ -68,7 +71,6 @@ Usage ReadUsage() {
   u.voluntary_ctx_switches = static_cast<double>(ru.ru_nvcsw);
   u.involuntary_ctx_switches = static_cast<double>(ru.ru_nivcsw);
   u.minor_faults = static_cast<double>(ru.ru_minflt);
-  u.max_rss_mb = static_cast<double>(ru.ru_maxrss) / 1024.0;  // KiB on Linux
   return u;
 }
 
@@ -77,7 +79,6 @@ Usage operator-(Usage a, const Usage& b) {
   a.voluntary_ctx_switches -= b.voluntary_ctx_switches;
   a.involuntary_ctx_switches -= b.involuntary_ctx_switches;
   a.minor_faults -= b.minor_faults;
-  a.max_rss_mb = 0.0;
   return a;
 }
 
@@ -87,6 +88,61 @@ Usage& operator+=(Usage& a, const Usage& b) {
   a.involuntary_ctx_switches += b.involuntary_ctx_switches;
   a.minor_faults += b.minor_faults;
   return a;
+}
+
+RssSampler::RssSampler() : thread_([this] { Loop(); }) {}
+
+RssSampler::~RssSampler() {
+  {
+    std::lock_guard<std::mutex> lock(mu_);
+    stop_ = true;
+  }
+  cv_.notify_all();
+  thread_.join();
+}
+
+void RssSampler::Resume() {
+  malloc_trim(0);
+  std::lock_guard<std::mutex> lock(mu_);
+  measuring_ = true;
+  Sample();
+  cv_.notify_all();
+}
+
+void RssSampler::Pause() {
+  std::lock_guard<std::mutex> lock(mu_);
+  Sample();
+  measuring_ = false;
+}
+
+double RssSampler::PeakMb() {
+  std::lock_guard<std::mutex> lock(mu_);
+  return peak_mb_;
+}
+
+void RssSampler::Sample() {
+  std::FILE* f = std::fopen("/proc/self/statm", "r");
+  if (f == nullptr) return;
+  unsigned long size = 0;
+  unsigned long resident = 0;
+  if (std::fscanf(f, "%lu %lu", &size, &resident) == 2) {
+    double mb = static_cast<double>(resident) *
+                static_cast<double>(sysconf(_SC_PAGESIZE)) / (1024.0 * 1024.0);
+    peak_mb_ = std::max(peak_mb_, mb);
+  }
+  std::fclose(f);
+}
+
+void RssSampler::Loop() {
+  std::unique_lock<std::mutex> lock(mu_);
+  while (!stop_) {
+    if (measuring_) {
+      Sample();
+      cv_.wait_for(lock, std::chrono::milliseconds(2), [&] { return stop_; });
+    } else {
+      cv_.wait(lock, [&] { return stop_ || measuring_; });
+    }
+  }
 }
 
 void RunResult::Check(const Violations& v, const std::string& where) {
@@ -104,24 +160,23 @@ double Median(std::vector<double> values) {
   return n % 2 == 1 ? values[n / 2] : 0.5 * (values[n / 2 - 1] + values[n / 2]);
 }
 
-void ReportEndToEnd(const OpSamples& ops, double setup_s, double wall_s,
-                    double peak_rss_mb, RunResult* result) {
+void ReportEndToEnd(const OpSamples& ops, double setup_s,
+                    double requests_per_cpu_s, double peak_rss_mb,
+                    const AnswerQuality& quality, RunResult* result) {
   result->Metric("setup_s", setup_s, "s");
   result->Metric("trace_load_ms.p50", ops.trace_load.Median(), "ms");
   result->Metric("recommend_cold_ms.p50", ops.recommend_cold.Median(), "ms");
   result->Metric("refine_ms.p50", ops.refine.Median(), "ms");
   result->Metric("workload_delta_ms.p50", ops.workload_delta.Median(), "ms");
   result->Metric("plan_ms.p50", ops.plan.Median(), "ms");
-  double requests = static_cast<double>(result->attempted - result->failed);
-  result->Metric("requests_per_s", requests / wall_s, "req/s");
+  result->Metric("requests_per_cpu_s", requests_per_cpu_s, "req/cpu-s");
   result->Metric("peak_rss_mb", peak_rss_mb, "MB");
+  result->Metric("cost_vs_base", quality.mean_vs_base(), "ratio");
   result->Note("trace_load      " + ops.trace_load.Describe());
   result->Note("recommend_cold  " + ops.recommend_cold.Describe());
   result->Note("refine          " + ops.refine.Describe());
   result->Note("workload_delta  " + ops.workload_delta.Describe());
   result->Note("plan            " + ops.plan.Describe());
-  result->Note(dbdesign::StrFormat("requests        %.0f in %.3f s", requests,
-                                   wall_s));
 }
 
 namespace {
@@ -182,6 +237,9 @@ const std::vector<LayerMetric>& LayerTable() {
       {"process.voluntary_ctx_switches", "count", true},
       {"process.involuntary_ctx_switches", "count", true},
       {"process.minor_faults", "count", true},
+      {"check.cost_vs_greedy", "ratio", false},
+      {"check.greedy_wins_share", "ratio", false},
+      {"check.overstated_share", "ratio", false},
       {"trace.sessions", "count", false},
       {"trace.coverage", "ratio", false},
       {"trace.overhead", "ratio", false},
@@ -210,6 +268,14 @@ void ReportProcess(const Usage& used, double wall_s, LayerReport* layers) {
   layers->Set("process.voluntary_ctx_switches", used.voluntary_ctx_switches);
   layers->Set("process.involuntary_ctx_switches", used.involuntary_ctx_switches);
   layers->Set("process.minor_faults", used.minor_faults);
+}
+
+void ReportQuality(const AnswerQuality& quality, LayerReport* layers) {
+  layers->Set("check.cost_vs_greedy", quality.mean_vs_greedy());
+  layers->Set("check.greedy_wins_share",
+              quality.greedy_wins / std::max(1.0, 1.0 * quality.vs_greedy));
+  layers->Set("check.overstated_share",
+              quality.overstated / std::max(1.0, 1.0 * quality.answers));
 }
 
 }  // namespace perfbench

@@ -4,9 +4,12 @@
 #ifndef PERFBENCH_BENCH_H_
 #define PERFBENCH_BENCH_H_
 
+#include <condition_variable>
 #include <cstdint>
 #include <map>
+#include <mutex>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -66,13 +69,41 @@ struct Usage {
   double voluntary_ctx_switches = 0.0;
   double involuntary_ctx_switches = 0.0;
   double minor_faults = 0.0;
-  double max_rss_mb = 0.0;
 };
 Usage ReadUsage();
-/// Field-wise difference and sum of the counters (max_rss_mb is a peak
-/// and is left out of both).
+/// Field-wise difference and sum of the counters.
 Usage operator-(Usage a, const Usage& b);
 Usage& operator+=(Usage& a, const Usage& b);
+
+/// Peak resident set over the measured phases only. The process-wide
+/// peak (ru_maxrss) would also hold the reference sessions, the checker
+/// and the repeated set-ups, so a thread samples the current resident
+/// set (/proc/self/statm) every 2 ms while measuring.
+class RssSampler {
+ public:
+  RssSampler();
+  ~RssSampler();
+  RssSampler(const RssSampler&) = delete;
+  RssSampler& operator=(const RssSampler&) = delete;
+
+  /// Starts (or resumes) measuring. Memory that earlier, unmeasured
+  /// phases freed is first returned to the system (malloc_trim), so
+  /// that only memory in use counts.
+  void Resume();
+  void Pause();
+  double PeakMb();
+
+ private:
+  void Sample();  // requires mu_
+  void Loop();
+
+  std::mutex mu_;
+  std::condition_variable cv_;
+  bool measuring_ = false;
+  bool stop_ = false;
+  double peak_mb_ = 0.0;
+  std::thread thread_;  // last: it uses the members above
+};
 
 /// What one workload run reports.
 struct RunResult {
@@ -96,10 +127,14 @@ struct RunResult {
 /// Median of `values` (0 when empty).
 double Median(std::vector<double> values);
 
-/// Fills the end-to-end metrics shared by every workload; the request
-/// rate counts every operation the run completed.
-void ReportEndToEnd(const OpSamples& ops, double setup_s, double wall_s,
-                    double peak_rss_mb, RunResult* result);
+/// Fills the end-to-end metrics shared by every workload.
+/// `requests_per_cpu_s` is operations completed per second of process
+/// CPU time in the measured phase: on a shared VM the hypervisor's steal
+/// time moved the wall-clock rate of four busy clients by 25 % between
+/// runs, while CPU time stops with the clients.
+void ReportEndToEnd(const OpSamples& ops, double setup_s,
+                    double requests_per_cpu_s, double peak_rss_mb,
+                    const AnswerQuality& quality, RunResult* result);
 
 /// Per-layer values of one traced run; unset layers report 0.
 class LayerReport {
@@ -117,6 +152,10 @@ class LayerReport {
 
 /// Fills the process.* layer metrics from what the measured phase used.
 void ReportProcess(const Usage& used, double wall_s, LayerReport* layers);
+
+/// Fills the check.* layer metrics from the run's answer quality (the
+/// greedy comparison runs in traced runs only).
+void ReportQuality(const AnswerQuality& quality, LayerReport* layers);
 
 // Workload entry points.
 RunResult RunDbaLoop(const RunOptions& options);

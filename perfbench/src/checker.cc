@@ -146,15 +146,67 @@ Violations CheckRecommendation(const IndexRecommendation& rec,
   return out;
 }
 
-Violations CheckSameAnswer(const IndexRecommendation& got,
-                           const IndexRecommendation& want,
-                           const std::string& what) {
-  Violations out;
-  if (got.indexes != want.indexes) {
-    out.push_back(what + ": index sets differ");
+Result<double> PriceGreedyAnswer(dbdesign::GreedyAdvisor& greedy,
+                                 DbmsBackend& backend,
+                                 const std::vector<TemplateClass>& classes,
+                                 const std::vector<dbdesign::CandidateIndex>& candidates,
+                                 const DesignConstraints& constraints) {
+  dbdesign::Workload workload;
+  for (const TemplateClass& cls : classes) {
+    workload.Add(cls.representative, cls.weight);
   }
-  Violations cost = CheckSameCost(got, want, what);
-  out.insert(out.end(), cost.begin(), cost.end());
+  Result<dbdesign::GreedyResult> answer =
+      greedy.TryRecommendWithCandidates(workload, candidates, constraints);
+  if (!answer.ok()) return answer.status();
+  return PriceClasses(backend, classes, DesignOf(answer.value().indexes));
+}
+
+void AnswerQuality::Add(const IndexRecommendation& rec,
+                        const PricedAnswer& priced) {
+  ++answers;
+  vs_base_sum += priced.recommended_cost / priced.base_cost;
+  if (!SameCost(rec.recommended_cost, priced.recommended_cost)) {
+    ++overstated;
+    max_overstatement = std::max(
+        max_overstatement, rec.recommended_cost / priced.recommended_cost - 1.0);
+  }
+}
+
+void AnswerQuality::AddGreedy(double priced, double greedy_priced) {
+  ++vs_greedy;
+  vs_greedy_sum += priced / greedy_priced;
+  if (greedy_priced < priced && !SameCost(greedy_priced, priced)) ++greedy_wins;
+}
+
+void AnswerQuality::Merge(const AnswerQuality& o) {
+  answers += o.answers;
+  vs_base_sum += o.vs_base_sum;
+  overstated += o.overstated;
+  max_overstatement = std::max(max_overstatement, o.max_overstatement);
+  vs_greedy += o.vs_greedy;
+  vs_greedy_sum += o.vs_greedy_sum;
+  greedy_wins += o.greedy_wins;
+}
+
+double AnswerQuality::mean_vs_base() const {
+  return answers > 0 ? vs_base_sum / answers : 0.0;
+}
+
+double AnswerQuality::mean_vs_greedy() const {
+  return vs_greedy > 0 ? vs_greedy_sum / vs_greedy : 0.0;
+}
+
+std::string AnswerQuality::Describe() const {
+  std::string out = StrFormat(
+      "checked %d answers; backend price / empty design's %.6f on average; "
+      "%d claim a cost above the backend price of their design (up to "
+      "+%.1f%%)",
+      answers, mean_vs_base(), overstated, 100.0 * max_overstatement);
+  if (vs_greedy > 0) {
+    out += StrFormat("; %d compared with greedy: price / greedy's %.6f on "
+                     "average, greedy cheaper on %d",
+                     vs_greedy, mean_vs_greedy(), greedy_wins);
+  }
   return out;
 }
 

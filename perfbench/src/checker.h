@@ -2,8 +2,9 @@
 // held against computations made apart from the answering path (the
 // backend's what-if optimizer, the backend's index-size estimates, a
 // fresh session) or against properties the method must have. Each
-// function returns the list of violations; an empty list means the
-// answer passed.
+// Check function returns the list of violations; an empty list means
+// the answer passed. AnswerQuality measures how good the passing
+// answers are against the greedy advisor on the same problems.
 
 #ifndef PERFBENCH_CHECKER_H_
 #define PERFBENCH_CHECKER_H_
@@ -12,6 +13,7 @@
 #include <vector>
 
 #include "backend/backend.h"
+#include "cophy/greedy.h"
 #include "core/session.h"
 #include "workload/compress.h"
 
@@ -66,11 +68,48 @@ Violations CheckRecommendation(const dbdesign::IndexRecommendation& rec,
                                const dbdesign::DesignConstraints& constraints,
                                double advisor_budget_pages);
 
-/// Two answers are the same answer: same index set in the same order and
-/// the same recommended cost (within kCostTolerance).
-Violations CheckSameAnswer(const dbdesign::IndexRecommendation& got,
-                           const dbdesign::IndexRecommendation& want,
-                           const std::string& what);
+/// The greedy advisor's answer to the same problem as a designer answer
+/// (the same template classes, candidate universe and constraints),
+/// priced by the backend like PriceAnswer prices the designer's.
+dbdesign::Result<double> PriceGreedyAnswer(
+    dbdesign::GreedyAdvisor& greedy, dbdesign::DbmsBackend& backend,
+    const std::vector<dbdesign::TemplateClass>& classes,
+    const std::vector<dbdesign::CandidateIndex>& candidates,
+    const dbdesign::DesignConstraints& constraints);
+
+/// Quality of a run's answers, each priced by the backend. The checks
+/// above cannot see a worse design that still meets its constraints;
+/// this tally can: a designer that returns worse designs raises
+/// mean_vs_base() and mean_vs_greedy().
+struct AnswerQuality {
+  int answers = 0;
+  /// Sum over answers of the backend price of the design over the
+  /// backend price of the empty design.
+  double vs_base_sum = 0.0;
+  /// Answers whose claimed cost exceeds the backend price of their
+  /// design (see CheckRecommendation), and the largest relative excess.
+  int overstated = 0;
+  double max_overstatement = 0.0;
+  /// Answers compared with the greedy advisor's answer to the same
+  /// problem, the sum of backend price / greedy's backend price over
+  /// them, and how many greedy beats.
+  int vs_greedy = 0;
+  double vs_greedy_sum = 0.0;
+  int greedy_wins = 0;
+
+  /// Tallies one answer and its backend price.
+  void Add(const dbdesign::IndexRecommendation& rec, const PricedAnswer& priced);
+  /// Tallies the greedy comparison of an answer priced at `priced`.
+  void AddGreedy(double priced, double greedy_priced);
+  void Merge(const AnswerQuality& other);
+  /// Mean over answers of price / empty-design price; 0 with none.
+  double mean_vs_base() const;
+  /// Mean over compared answers of price / greedy's price (below 1:
+  /// better designs than greedy); 0 with none.
+  double mean_vs_greedy() const;
+  /// "checked N answers; ..." for the run's notes.
+  std::string Describe() const;
+};
 
 /// Two answers to the same problem are equally good: the same
 /// recommended cost (within kCostTolerance). Their index sets may differ

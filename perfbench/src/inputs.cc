@@ -255,19 +255,15 @@ std::string Instantiate(const Shape& shape, Rng& rng) {
 
 }  // namespace
 
-WideTrace MakeWideTrace(Rng& rng, int n, int repeat, int batch) {
+WideTrace MakeWideTrace(Rng& rng, int n, int batch) {
   std::vector<Shape> shapes;
-  int num_shapes = std::max(1, n / std::max(1, repeat));
-  for (int i = 0; i < num_shapes; ++i) shapes.push_back(DrawShape(rng));
-  auto any = [&] {
-    return shapes[static_cast<size_t>(rng.UniformInt(0, num_shapes - 1))];
-  };
+  for (int i = 0; i < n; ++i) shapes.push_back(DrawShape(rng));
   WideTrace trace;
-  for (int i = 0; i < n; ++i) {
-    trace.sql.push_back(
-        Instantiate(i < num_shapes ? shapes[static_cast<size_t>(i)] : any(), rng));
+  for (const Shape& shape : shapes) trace.sql.push_back(Instantiate(shape, rng));
+  for (int i = 0; i < batch; ++i) {
+    const Shape& shape = shapes[static_cast<size_t>(rng.UniformInt(0, n - 1))];
+    trace.batch.push_back(Instantiate(shape, rng));
   }
-  for (int i = 0; i < batch; ++i) trace.batch.push_back(Instantiate(any(), rng));
   return trace;
 }
 

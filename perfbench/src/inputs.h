@@ -49,10 +49,9 @@ struct WideTrace {
   std::vector<std::string> batch;
 };
 
-/// `n` ad-hoc queries over n / repeat generated templates (each appears
-/// at least once; fresh constants per instance), then `batch` more
-/// instances of those templates.
-WideTrace MakeWideTrace(dbdesign::Rng& rng, int n, int repeat, int batch);
+/// `n` ad-hoc queries, one generated template each, then `batch` more
+/// instances (fresh constants) of templates drawn from those.
+WideTrace MakeWideTrace(dbdesign::Rng& rng, int n, int batch);
 
 }  // namespace perfbench
 

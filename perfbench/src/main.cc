@@ -1,13 +1,14 @@
 // perfbench: the designer's end-to-end benchmark.
 //
-//   perfbench --workload <dba_loop|wide_templates|tenant_fleet|tenant_churn|all>
+//   perfbench --workload <dba_loop|wide_templates|tenant_fleet|tenant_churn>
 //             --seed <n> --seconds <s> --trace <0|1> [--scratch <dir>]
 //
-// Each workload prints its notes, then one JSON line with `correct`,
-// `attempted`, `failed` and `metrics`, and flushes stdout before the
-// next workload starts, so a later abort cannot erase earlier results.
-// --trace 0 reports the end-to-end metrics, --trace 1 the per-layer
-// metrics of a traced run over the same inputs.
+// Runs one workload and prints its notes, then one JSON line with
+// `correct`, `attempted`, `failed` and `metrics`, and flushes stdout.
+// One process runs one workload, so that the process-wide state of one
+// (heap, threads, caches) never carries into the next; run.py starts a
+// process per workload. --trace 0 reports the end-to-end metrics,
+// --trace 1 the per-layer metrics of a traced run over the same inputs.
 
 #include <cstdio>
 #include <cstdlib>
@@ -34,7 +35,7 @@ const WorkloadEntry kWorkloads[] = {
 
 int Usage(const char* msg) {
   std::fprintf(stderr,
-               "perfbench: %s\nusage: perfbench --workload <name|all> --seed <n> "
+               "perfbench: %s\nusage: perfbench --workload <name> --seed <n> "
                "--seconds <s> --trace <0|1> [--scratch <dir>]\n",
                msg);
   return 2;
@@ -96,15 +97,11 @@ int main(int argc, char** argv) {
     }
   }
   if (!have_workload) return Usage("--workload is required");
-  bool ran = false;
-  bool all_correct = true;
   for (const WorkloadEntry& w : kWorkloads) {
-    if (options.workload != "all" && options.workload != w.name) continue;
+    if (options.workload != w.name) continue;
     perfbench::RunResult r = w.run(options);
     Print(w.name, options, r);
-    ran = true;
-    all_correct &= r.correct() && r.failed == 0;
+    return r.correct() && r.failed == 0 ? 0 : 1;
   }
-  if (!ran) return Usage(("unknown workload " + options.workload).c_str());
-  return all_correct ? 0 : 1;
+  return Usage(("unknown workload " + options.workload).c_str());
 }

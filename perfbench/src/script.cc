@@ -19,14 +19,14 @@ using dbdesign::InMemoryBackend;
 using dbdesign::Result;
 using dbdesign::Workload;
 
-Substrate BuildSubstrate(int rows, uint64_t seed, int threads) {
+Substrate BuildSubstrate(int rows, uint64_t seed) {
   dbdesign::SdssConfig cfg;
   cfg.photoobj_rows = rows;
   cfg.seed = seed;
   Substrate s;
   s.db = std::make_unique<Database>(dbdesign::BuildSdssDatabase(cfg));
   dbdesign::CostParams params;
-  params.num_threads = threads;
+  params.num_threads = 1;
   s.backend = std::make_unique<InMemoryBackend>(*s.db, params);
   for (dbdesign::TableId t = 0; t < s.db->catalog().num_tables(); ++t) {
     s.data_pages += s.db->stats(t).HeapPages(s.db->catalog().table(t));

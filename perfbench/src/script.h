@@ -19,16 +19,22 @@ namespace perfbench {
 /// the workloads, never the data. Schema k uses this seed plus k.
 inline constexpr uint64_t kDatabaseSeed = 42;
 
-/// One SDSS database after ANALYZE, and the backend over it. The
-/// backend's cost parameters carry the designer's thread count
-/// (CostParams::num_threads; 0 = all hardware threads).
+/// One SDSS database after ANALYZE, and the backend over it.
+///
+/// The backend's cost parameters run the designer on one thread
+/// (CostParams::num_threads = 1); the concurrency the benchmark measures
+/// is that of its clients. With the default pool every small
+/// ParallelFor waits on workers the host may have descheduled: on a
+/// 4-core VM with steal time, run medians of PlanDeployment (DoI rows)
+/// spread 0.79 (dba_loop), 0.37 (wide_templates) and 0.19-0.35 (tenant
+/// workloads) over ten runs, against 0.10 or less on one thread.
 struct Substrate {
   std::unique_ptr<dbdesign::Database> db;
   std::unique_ptr<dbdesign::InMemoryBackend> backend;
   double data_pages = 0.0;  ///< heap pages over all tables
 };
 
-Substrate BuildSubstrate(int photoobj_rows, uint64_t seed, int threads = 0);
+Substrate BuildSubstrate(int photoobj_rows, uint64_t seed);
 
 /// Parses and binds every statement.
 dbdesign::Result<dbdesign::Workload> Bind(const dbdesign::Catalog& catalog,

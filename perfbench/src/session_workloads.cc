@@ -7,8 +7,9 @@
 //                   planning and a replan after one more veto.
 //   wide_templates  ad-hoc SQL over all five tables that compresses into
 //                   several times more template classes, with a cold
-//                   Recommend under a tight budget, a veto, a
-//                   new-template AddQueries and deployment planning.
+//                   Recommend (no storage budget), a veto, an
+//                   AddQueries of more instances of the same templates
+//                   and deployment planning.
 //
 // Traced runs replay every step a second time through the layers' own
 // public entry points (Composer below) and require the composed answer
@@ -72,20 +73,10 @@ struct Shape {
   /// Storage budget as a share of the database's heap pages (0: none).
   double budget_lo = 0.0;
   double budget_hi = 0.0;
-  /// The designer's thread count (0: all hardware threads).
-  int threads = 0;
 };
 
-// The DBA loop runs the designer on one thread: its steps are sub-
-// millisecond to a few milliseconds, and with the default pool every
-// small ParallelFor waits on workers the host may have descheduled
-// (PlanDeployment ran 2x slower and its run medians spread 0.79 over
-// ten runs on a 4-core host with 15-30% steal time). Pool behaviour is
-// measured by the other three workloads.
-constexpr Shape kDbaLoop = {true, 5000, 200, 20, 0.08, 0.16, 1};
-constexpr Shape kWide = {false, 3000, 48, 8, 0.0, 0.0, 0};
-/// Ad-hoc templates are instantiated this many times on average.
-constexpr int kWideRepeat = 1;
+constexpr Shape kDbaLoop = {true, 5000, 200, 20, 0.08, 0.16};
+constexpr Shape kWide = {false, 3000, 36, 6, 0.0, 0.0};
 
 struct SessionInputs {
   std::vector<std::string> trace;
@@ -103,8 +94,8 @@ SessionInputs MakeInputs(const Shape& shape, uint64_t seed, uint64_t index,
     in.trace = std::move(trace.sql);
     in.batch = MakeSdssBatch(rng, trace.held_out, shape.batch_queries);
   } else {
-    WideTrace trace = MakeWideTrace(rng, shape.trace_queries, kWideRepeat,
-                                    shape.batch_queries);
+    WideTrace trace =
+        MakeWideTrace(rng, shape.trace_queries, shape.batch_queries);
     in.trace = std::move(trace.sql);
     in.batch = std::move(trace.batch);
   }
@@ -124,6 +115,9 @@ struct Step {
   bool after_delta = false;  ///< the workload includes the AddQueries batch
   DesignConstraints constraints;
   IndexRecommendation rec;   ///< kAnswer / kRefine
+  /// The session's candidate universe for `rec` (kAnswer / kRefine;
+  /// traced runs, which compare the answer with the greedy advisor's).
+  std::vector<CandidateIndex> candidates;
   DeploymentPlan plan;       ///< kPlan
 };
 
@@ -353,15 +347,15 @@ class SessionRun {
     }
   }
 
-  // Runs the whole script; false when an operation failed. A session
-  // adds one sample per operation type: the mean of its refines and of
-  // its plans, so the run's median compares like with like whatever
-  // share of edits the certificate answers.
-  bool Run() {
-    bool ok = Script();
+  // Runs the script until it ends or an operation fails (counted in the
+  // result where it fails). A session adds one sample per operation
+  // type: the mean of its refines and of its plans, so the run's median
+  // compares like with like whatever share of edits the certificate
+  // answers.
+  void Run() {
+    Script();
     if (refines_.size() > 0) ops_->refine.Add(refines_.Sum() / refines_.size());
     if (plans_.size() > 0) ops_->plan.Add(plans_.Sum() / plans_.size());
-    return ok;
   }
 
   SessionRecord TakeRecord() { return std::move(record_); }
@@ -375,6 +369,7 @@ class SessionRun {
     if (!Load(in.trace)) return false;
     DesignConstraints budget;
     budget.storage_budget_pages = in.budget_pages;
+    ++result_->attempted;
     if (!Ok(session_.SetConstraints(budget))) return false;
     if (composer_) composer_->SetConstraints(budget);
     if (!Answer(&ops_->recommend_cold, [&] { return session_.Recommend(); },
@@ -404,9 +399,22 @@ class SessionRun {
     return true;
   }
 
+  // A failed session operation: counted as failed at the point of
+  // failure, and the script stops.
   bool Ok(const dbdesign::Status& s) {
-    if (!s.ok()) result_->Note("operation failed: " + s.ToString());
-    return s.ok();
+    if (s.ok()) return true;
+    ++result_->failed;
+    result_->Note("operation failed: " + s.ToString());
+    return false;
+  }
+
+  // The traced replay failed where the session did not: the layer split
+  // no longer describes the session's work.
+  bool Traced(const dbdesign::Status& s) {
+    if (s.ok()) return true;
+    result_->Check({"composed path failed: " + s.ToString()},
+                   StrFormat("session %llu", Id()));
+    return false;
   }
 
   const IndexRecommendation& Last() const {
@@ -443,8 +451,7 @@ class SessionRun {
     });
     if (!Ok(s)) return false;
     if (composer_) {
-      dbdesign::Status c = composer_->Load(sql);
-      if (!c.ok()) return Ok(c);
+      if (!Traced(composer_->Load(sql))) return false;
       Layers().Add("workload.template_classes",
                    static_cast<double>(session_.num_template_classes()));
       Layers().Add("trace.raw_queries", static_cast<double>(sql.size()));
@@ -463,8 +470,9 @@ class SessionRun {
     step.constraints = session_.constraints();
     step.rec = std::move(rec).value();
     if (composer_) {
+      step.candidates = session_.prepared_state().candidates;
       Result<IndexRecommendation> composed = compose_fn();
-      if (!composed.ok()) return Ok(composed.status());
+      if (!Traced(composed.status())) return false;
       Compare(composed.value(), step.rec, "composed answer vs session");
     }
     record_.steps.push_back(std::move(step));
@@ -500,8 +508,9 @@ class SessionRun {
     step.constraints = session_.constraints();
     step.rec = std::move(rec).value();
     if (composer_) {
+      step.candidates = session_.prepared_state().candidates;
       Result<IndexRecommendation> composed = composer_->AddAndRecommend(sql);
-      if (!composed.ok()) return Ok(composed.status());
+      if (!Traced(composed.status())) return false;
       Compare(composed.value(), step.rec, "composed answer after AddQueries");
     }
     record_.steps.push_back(std::move(step));
@@ -527,7 +536,7 @@ class SessionRun {
                    static_cast<double>(p.doi_rows_reused));
       Layers().Add("interaction.schedules_reused", p.schedule_reused ? 1 : 0);
       auto composed = composer_->Plan(indexes);
-      if (!composed.ok()) return Ok(composed.status());
+      if (!Traced(composed.status())) return false;
       DeploymentPlan as_plan;
       as_plan.schedule = std::move(composed).value();
       result_->Check(CheckSamePlan(as_plan, p, "composed schedule vs session"),
@@ -570,18 +579,16 @@ class SessionRun {
 // What checking one session found.
 struct SessionCheck {
   Violations violations;
-  int answers = 0;
-  /// Answers whose claimed cost exceeds the backend-priced cost of their
-  /// design (see CheckRecommendation), and the largest relative excess.
-  int overstated = 0;
-  double max_overstatement = 0.0;
+  AnswerQuality quality;
   /// Refines whose index set differs from the fresh session's at the
   /// same cost.
   int ties = 0;
 };
 
+// `compare_greedy` also solves each answer's problem with the greedy
+// advisor (traced runs: it costs more than the rest of the checks).
 SessionCheck CheckSession(const Shape& shape, uint64_t seed, Substrate& sub,
-                          const SessionRecord& record) {
+                          const SessionRecord& record, bool compare_greedy) {
   SessionCheck out;
   DbmsBackend& backend = *sub.backend;
   auto stop = [&](const std::string& msg) {
@@ -606,6 +613,7 @@ SessionCheck CheckSession(const Shape& shape, uint64_t seed, Substrate& sub,
   auto fail = [&](const Violations& v, const std::string& what) {
     for (const std::string& m : v) out.violations.push_back(what + ": " + m);
   };
+  dbdesign::GreedyAdvisor greedy(backend);
   for (size_t i = 0; i < record.steps.size(); ++i) {
     const Step& step = record.steps[i];
     int k = step.after_delta ? 1 : 0;
@@ -624,12 +632,14 @@ SessionCheck CheckSession(const Shape& shape, uint64_t seed, Substrate& sub,
     fail(CheckRecommendation(step.rec, *raw[k], priced.value(),
                              step.constraints, kInf),
          what);
-    ++out.answers;
-    double excess =
-        step.rec.recommended_cost / priced.value().recommended_cost - 1.0;
-    if (!SameCost(step.rec.recommended_cost, priced.value().recommended_cost)) {
-      ++out.overstated;
-      out.max_overstatement = std::max(out.max_overstatement, excess);
+    out.quality.Add(step.rec, priced.value());
+    if (compare_greedy) {
+      Result<double> greedy_priced = PriceGreedyAnswer(
+          greedy, backend, classes[k], step.candidates, step.constraints);
+      if (greedy_priced.ok()) {
+        out.quality.AddGreedy(priced.value().recommended_cost,
+                              greedy_priced.value());
+      }
     }
     // A constraint edit must answer as well as a fresh session under the
     // same constraints. After an AddQueries the session's candidate
@@ -654,8 +664,9 @@ SessionCheck CheckSession(const Shape& shape, uint64_t seed, Substrate& sub,
 
 // Checks every record on up to four threads, adding to `totals`.
 void CheckBatch(const Shape& shape, uint64_t seed, Substrate& sub,
-                const std::vector<SessionRecord>& records, RunResult* result,
-                SessionCheck* totals) {
+                const std::vector<SessionRecord>& records, bool compare_greedy,
+                RunResult* result, SessionCheck* totals) {
+  if (records.empty()) return;
   int threads = std::clamp(static_cast<int>(std::thread::hardware_concurrency()),
                            1, 4);
   std::vector<SessionCheck> found(records.size());
@@ -664,7 +675,7 @@ void CheckBatch(const Shape& shape, uint64_t seed, Substrate& sub,
     pool.emplace_back([&, t] {
       for (size_t i = static_cast<size_t>(t); i < records.size();
            i += static_cast<size_t>(threads)) {
-        found[i] = CheckSession(shape, seed, sub, records[i]);
+        found[i] = CheckSession(shape, seed, sub, records[i], compare_greedy);
       }
     });
   }
@@ -673,11 +684,8 @@ void CheckBatch(const Shape& shape, uint64_t seed, Substrate& sub,
     result->Check(found[i].violations,
                   StrFormat("session %llu",
                             static_cast<unsigned long long>(records[i].index)));
-    totals->answers += found[i].answers;
-    totals->overstated += found[i].overstated;
+    totals->quality.Merge(found[i].quality);
     totals->ties += found[i].ties;
-    totals->max_overstatement =
-        std::max(totals->max_overstatement, found[i].max_overstatement);
   }
 }
 
@@ -694,7 +702,7 @@ RunResult RunSessions(const Shape& shape, const RunOptions& options) {
   Substrate sub;
   for (int i = 0; i < 5; ++i) {
     double t0 = NowMs();
-    sub = BuildSubstrate(shape.rows, kDatabaseSeed, shape.threads);
+    sub = BuildSubstrate(shape.rows, kDatabaseSeed);
     setups.push_back((NowMs() - t0) / 1000.0);
   }
 
@@ -712,15 +720,17 @@ RunResult RunSessions(const Shape& shape, const RunOptions& options) {
   double session_ms = 0.0;
   double composed_ms = 0.0;
   double span_ms = 0.0;
-  // Only the sessions are measured: the clock and the process counters
-  // stop while a batch of answers is checked.
+  // Only the sessions are measured: the clock, the process counters and
+  // the resident-set sampler stop while a batch of answers is checked.
   Usage used;
+  RssSampler rss;
+  rss.Resume();
   double measured_ms = 0.0;
   for (uint64_t i = 0; measured_ms < options.seconds * 1000.0; ++i) {
     Usage u0 = ReadUsage();
     double t0 = NowMs();
     SessionRun run(ctx, i, &ops, &result);
-    if (!run.Run()) ++result.failed;
+    run.Run();
     measured_ms += NowMs() - t0;
     used += ReadUsage() - u0;
     session_ms += run.session_ms();
@@ -731,18 +741,20 @@ RunResult RunSessions(const Shape& shape, const RunOptions& options) {
     batch.push_back(run.TakeRecord());
     ++sessions_run;
     if (batch.size() == kCheckBatch) {
-      CheckBatch(shape, options.seed, sub, batch, &result, &checked);
+      rss.Pause();
+      CheckBatch(shape, options.seed, sub, batch, options.trace, &result,
+                 &checked);
       batch.clear();
+      rss.Resume();
     }
   }
-  CheckBatch(shape, options.seed, sub, batch, &result, &checked);
+  rss.Pause();
+  CheckBatch(shape, options.seed, sub, batch, options.trace, &result, &checked);
   double wall_s = measured_ms / 1000.0;
-  result.Note(StrFormat("checked %d answers; %d claim a cost above the "
-                        "backend-priced cost of their design (up to +%.1f%%); "
-                        "%d refines chose another index set than a fresh "
+  result.Note(checked.quality.Describe());
+  result.Note(StrFormat("%d refines chose another index set than a fresh "
                         "session at the same cost",
-                        checked.answers, checked.overstated,
-                        100.0 * checked.max_overstatement, checked.ties));
+                        checked.ties));
 
   double sessions = static_cast<double>(sessions_run);
   result.Note(StrFormat("%zu sessions, %d-%d queries each, budget %.0f%%-%.0f%% "
@@ -758,6 +770,7 @@ RunResult RunSessions(const Shape& shape, const RunOptions& options) {
     layers.Set("workload.compression_factor",
                classes > 0 ? layers.Get("trace.raw_queries") / classes : 0.0);
     ReportProcess(used, wall_s, &layers);
+    ReportQuality(checked.quality, &layers);
     layers.Set("trace.sessions", sessions);
     layers.Set("trace.coverage", composed_ms > 0 ? span_ms / composed_ms : 0.0);
     layers.Set("trace.overhead",
@@ -769,8 +782,12 @@ RunResult RunSessions(const Shape& shape, const RunOptions& options) {
                           layers.Get("trace.ties")));
   }
   if (!options.trace) {
-    ReportEndToEnd(ops, Median(setups), wall_s, ReadUsage().max_rss_mb,
-                   &result);
+    double requests = static_cast<double>(result.attempted - result.failed);
+    ReportEndToEnd(ops, Median(setups), requests / used.cpu_s, rss.PeakMb(),
+                   checked.quality, &result);
+    result.Note(StrFormat("requests        %.0f in %.3f s, %.3f CPU s "
+                          "(%.0f req/s)",
+                          requests, wall_s, used.cpu_s, requests / wall_s));
   }
   if (options.trace) layers.Emit(sessions, &result);
   return result;

@@ -1,11 +1,20 @@
 // The multi-tenant workloads: four client threads in one process drive a
 // TuningServer in closed loops. Each client opens a tenant session,
-// runs the tenant script through WithSession, closes it and opens the
-// next one.
+// runs a tenant script through WithSession, closes it and opens the
+// next one. A run has three phases, each over the whole trace pool:
+//
+//   cold wave         every pool trace once with the full script
+//                     (untimed: it warms the atom store);
+//   refine storm      half the measured time: open, load, Recommend,
+//                     Recommend again, a veto and a pin Refine,
+//                     AddQueries + Recommend, PlanDeployment, close;
+//   new-tenant wave   the other half: open, load, Recommend (the new
+//                     tenant), Recommend again (warm), close. This is
+//                     the store-served path the request rate measures.
 //
 //   tenant_fleet  four SDSS schemas, an unbounded atom store that holds
-//                 the working set; a cold wave warms it first, so every
-//                 measured tenant is a new tenant on a warm schema.
+//                 the working set, so every measured tenant is a new
+//                 tenant on a warm schema.
 //   tenant_churn  twelve smaller schemas and an atom store budgeted at a
 //                 quarter of the working set, spilling evicted rows to a
 //                 directory under the run's scratch directory.
@@ -62,9 +71,6 @@ struct TenantShape {
 
 constexpr TenantShape kFleet = {3, 4, 64, 3000, 250, 24, 6, false};
 constexpr TenantShape kChurn = {4, 12, 12, 1500, 50, 24, 6, true};
-/// One tenant in this many runs the whole script; the others load,
-/// recommend and recommend again.
-constexpr size_t kFullScriptEvery = 8;
 /// The churn store holds this share of the working set.
 constexpr double kChurnBudgetShare = 0.25;
 
@@ -78,6 +84,8 @@ struct PoolTrace {
 struct TenantAnswers {
   std::vector<IndexRecommendation> recs;  ///< recommend x2, refine x2, delta
   std::vector<dbdesign::DesignConstraints> constraints;  ///< per answer
+  /// Per answer, the session's candidate universe (solo runs only).
+  std::vector<std::vector<dbdesign::CandidateIndex>> candidates;
   DeploymentPlan plan;
 };
 
@@ -93,12 +101,12 @@ struct ScriptHooks {
   /// Per-layer accumulation (null: untraced).
   LayerReport* layers = nullptr;
   std::mutex* layers_mu = nullptr;
-  /// Remember the session's atom rows after each answer (solo runs: the
-  /// rows are read outside any server lock).
-  bool note_rows = false;
-  /// Run the whole script; otherwise stop after the warm re-recommend
-  /// (a tenant that only asks for a recommendation).
-  bool full = true;
+  /// Remember the session's atom rows and candidate universe after each
+  /// answer (solo runs, outside any server lock).
+  bool solo = false;
+  /// The refine storm's script; otherwise the new-tenant wave's, which
+  /// is its prefix up to the warm re-recommend.
+  bool storm = true;
 };
 
 class TenantScript {
@@ -108,10 +116,12 @@ class TenantScript {
       : trace_(trace), catalog_(catalog), hooks_(std::move(hooks)) {}
 
   // Runs the script; the answers land in answers(). Counts each
-  // operation in *attempted and returns false on the first failure. Like
-  // a session, a tenant adds the mean of its refines as one sample.
-  bool Run(uint64_t* attempted) {
+  // operation in *attempted and a failed one in *failed, and returns
+  // false on the first failure. Like a session, a tenant adds the mean
+  // of its refines as one sample.
+  bool Run(uint64_t* attempted, uint64_t* failed) {
     attempted_ = attempted;
+    failed_ = failed;
     bool ok = Script();
     if (hooks_.ops != nullptr && refines_.size() > 0) {
       hooks_.ops->refine.Add(refines_.Sum() / refines_.size());
@@ -123,7 +133,7 @@ class TenantScript {
   const TenantAnswers& answers() const { return answers_; }
   const Status& failure() const { return failure_; }
   /// Distinct atom rows the session held after any answer (with
-  /// ScriptHooks::note_rows).
+  /// ScriptHooks::solo).
   const std::set<std::shared_ptr<const dbdesign::CoPhyAtomRow>>& rows_seen()
       const {
     return rows_seen_;
@@ -140,7 +150,7 @@ class TenantScript {
                 [](DesignSession& s) { return s.Recommend(); })) {
       return false;
     }
-    if (!hooks_.full) return true;
+    if (!hooks_.storm) return true;
     if (!Refine([](const IndexRecommendation& r, DesignSession& s) {
           return VetoUsed(r, s.constraints());
         })) {
@@ -152,7 +162,10 @@ class TenantScript {
       return false;
     }
     Result<Workload> batch = Bind(catalog_, trace_.batch);
-    if (!batch.ok()) return Fail(batch.status());
+    if (!batch.ok()) {
+      ++*attempted_;
+      return Fail(batch.status());
+    }
     if (!Answer(Op(&OpSamples::workload_delta), [&](DesignSession& s) {
           s.AddQueries(batch.value().queries);
           return s.Recommend();
@@ -208,7 +221,9 @@ class TenantScript {
     return hooks_.ops == nullptr ? nullptr : &(hooks_.ops->*member);
   }
 
+  // The operation just attempted failed.
   bool Fail(const Status& s) {
+    ++*failed_;
     failure_ = s;
     return false;
   }
@@ -257,7 +272,7 @@ class TenantScript {
       rec = fn(s);
       constraints = s.constraints();
       populates_ = s.inum_populate_count();
-      if (hooks_.note_rows) NoteRows(s);
+      if (hooks_.solo) NoteState(s);
     });
     if (!st.ok()) return Fail(st);
     if (!rec.ok()) return Fail(rec.status());
@@ -266,8 +281,9 @@ class TenantScript {
     return true;
   }
 
-  void NoteRows(const DesignSession& s) {
+  void NoteState(const DesignSession& s) {
     for (const auto& row : s.prepared_state().rows) rows_seen_.insert(row);
+    answers_.candidates.push_back(s.prepared_state().candidates);
   }
 
   template <typename EditFn>
@@ -284,6 +300,7 @@ class TenantScript {
   const dbdesign::Catalog& catalog_;
   ScriptHooks hooks_;
   uint64_t* attempted_ = nullptr;
+  uint64_t* failed_ = nullptr;
   TenantAnswers answers_;
   Status failure_;
   double lock_wait_ms_ = 0.0;
@@ -304,11 +321,13 @@ struct Solo {
   TenantAnswers answers;
   size_t working_set_bytes = 0;  ///< atom rows the script builds
   Violations violations;
-  int overstated = 0;
+  AnswerQuality quality;
   int ties = 0;  ///< refines with another index set than a fresh session
 };
 
-Solo RunSolo(const PoolTrace& trace, Substrate& sub) {
+// `compare_greedy` also solves each answer's problem with the greedy
+// advisor (traced runs: it costs more than the rest of the checks).
+Solo RunSolo(const PoolTrace& trace, Substrate& sub, bool compare_greedy) {
   Solo solo;
   Designer designer(*sub.backend);
   DesignSession session(designer);
@@ -317,10 +336,11 @@ Solo RunSolo(const PoolTrace& trace, Substrate& sub) {
     fn(session);
     return Status::OK();
   };
-  hooks.note_rows = true;
+  hooks.solo = true;
   TenantScript script(trace, sub.backend->catalog(), hooks);
   uint64_t attempted = 0;
-  if (!script.Run(&attempted)) {
+  uint64_t failed = 0;
+  if (!script.Run(&attempted, &failed)) {
     solo.violations.push_back("solo script failed: " + script.failure().ToString());
     return solo;
   }
@@ -347,11 +367,12 @@ Solo RunSolo(const PoolTrace& trace, Substrate& sub) {
   auto classes_before = classes_of(before.value());
   auto classes_after = classes_of(after);
   const TenantAnswers& a = solo.answers;
+  dbdesign::GreedyAdvisor greedy(backend);
   for (size_t i = 0; i < a.recs.size(); ++i) {
     bool delta = i == a.recs.size() - 1;
     const Workload& raw = delta ? after : before.value();
-    Result<PricedAnswer> priced =
-        PriceAnswer(backend, delta ? classes_after : classes_before, a.recs[i]);
+    const auto& classes = delta ? classes_after : classes_before;
+    Result<PricedAnswer> priced = PriceAnswer(backend, classes, a.recs[i]);
     if (!priced.ok()) {
       solo.violations.push_back(priced.status().ToString());
       return solo;
@@ -360,8 +381,14 @@ Solo RunSolo(const PoolTrace& trace, Substrate& sub) {
              a.recs[i], raw, priced.value(), a.constraints[i], kInf)) {
       solo.violations.push_back(StrFormat("answer %zu: ", i) + v);
     }
-    if (!SameCost(a.recs[i].recommended_cost, priced.value().recommended_cost)) {
-      ++solo.overstated;
+    solo.quality.Add(a.recs[i], priced.value());
+    if (compare_greedy) {
+      Result<double> greedy_priced = PriceGreedyAnswer(
+          greedy, backend, classes, a.candidates[i], a.constraints[i]);
+      if (greedy_priced.ok()) {
+        solo.quality.AddGreedy(priced.value().recommended_cost,
+                               greedy_priced.value());
+      }
     }
     if (i == 2 || i == 3) {  // the constraint edits
       Designer fresh_designer(backend);
@@ -449,43 +476,46 @@ std::vector<PoolTrace> MakePool(const TenantShape& shape, uint64_t seed) {
   return pool;
 }
 
+// What one measured phase served.
+struct Phase {
+  OpSamples ops;
+  uint64_t attempted = 0;
+  uint64_t failed = 0;
+  uint64_t tenants = 0;
+  double wall_s = 0.0;
+  double cpu_s = 0.0;  ///< process CPU time the phase used
+};
+
 // State the client threads share.
 struct Clients {
   Fleet* fleet;
   const std::vector<PoolTrace>* pool;
   const std::vector<Solo>* solos;
+  bool traced = false;
   std::atomic<uint64_t> next_id{0};
-  std::mutex mu;  ///< guards everything below
-  OpSamples ops;
-  uint64_t attempted = 0;
-  uint64_t failed = 0;
-  uint64_t tenants = 0;
+  std::mutex mu;  ///< guards everything below and the phase being run
   Violations violations;
   LayerReport layers;
 };
 
-// One client: tenants back to back until `deadline_ms`.
-void Client(Clients& c, int client, double deadline_ms, bool traced) {
-  OpSamples ops;
-  uint64_t attempted = 0;
-  uint64_t failed = 0;
-  uint64_t tenants = 0;
+// One client: tenants back to back until `deadline_ms`, each running the
+// storm or the wave script on the client's next pool trace. The clients
+// walk the pool in turn, so every phase samples every trace.
+void Client(Clients& c, int client, bool storm, double deadline_ms,
+            Phase* phase) {
+  Phase mine;
   Violations violations;
   const size_t n = c.pool->size();
-  // Full and short scripts each walk the whole pool, so both kinds of
-  // tenant sample every trace.
-  size_t walked[2] = {0, 0};
   for (size_t j = 0; NowMs() < deadline_ms; ++j) {
-    bool full = j % kFullScriptEvery == 0;
-    size_t t = (static_cast<size_t>(client) + kClients * walked[full]++) % n;
+    size_t t = (static_cast<size_t>(client) + kClients * j) % n;
     const PoolTrace& trace = (*c.pool)[t];
     std::string id = StrFormat("tenant%llu", static_cast<unsigned long long>(
                                                  c.next_id.fetch_add(1)));
     dbdesign::TuningServer& server = *c.fleet->server;
-    ++attempted;
+    ++mine.attempted;
     Status st = server.OpenSession(id, "schema" + std::to_string(trace.schema));
     if (!st.ok()) {
-      ++failed;
+      ++mine.failed;
       violations.push_back("open: " + st.ToString());
       continue;
     }
@@ -493,49 +523,55 @@ void Client(Clients& c, int client, double deadline_ms, bool traced) {
     hooks.with = [&](const std::function<void(DesignSession&)>& fn) {
       return server.WithSession(id, fn);
     };
-    hooks.ops = &ops;
-    hooks.full = full;
-    hooks.layers = traced ? &c.layers : nullptr;
+    hooks.ops = &mine.ops;
+    hooks.storm = storm;
+    hooks.layers = c.traced ? &c.layers : nullptr;
     hooks.layers_mu = &c.mu;
     TenantScript script(
         trace, c.fleet->subs[static_cast<size_t>(trace.schema)].backend->catalog(),
         hooks);
-    if (!script.Run(&attempted)) {
-      ++failed;
+    if (!script.Run(&mine.attempted, &mine.failed)) {
       violations.push_back(id + ": " + script.failure().ToString());
     } else {
       const TenantAnswers& got = script.answers();
       const TenantAnswers& want = (*c.solos)[t].answers;
       for (const std::string& v :
-           CheckSameAsSolo(got.recs, hooks.full ? &got.plan : nullptr,
-                           want.recs, want.plan)) {
+           CheckSameAsSolo(got.recs, storm ? &got.plan : nullptr, want.recs,
+                           want.plan)) {
         violations.push_back(id + ": " + v);
       }
     }
-    ++attempted;
+    ++mine.attempted;
     st = server.CloseSession(id);
     if (!st.ok()) {
-      ++failed;
+      ++mine.failed;
       violations.push_back("close: " + st.ToString());
     }
-    ++tenants;
+    ++mine.tenants;
   }
   std::lock_guard<std::mutex> lock(c.mu);
-  c.ops.Append(ops);
-  c.attempted += attempted;
-  c.failed += failed;
-  c.tenants += tenants;
+  phase->ops.Append(mine.ops);
+  phase->attempted += mine.attempted;
+  phase->failed += mine.failed;
+  phase->tenants += mine.tenants;
   for (std::string& v : violations) {
     if (c.violations.size() < 20) c.violations.push_back(std::move(v));
   }
 }
 
-void RunClients(Clients& c, double deadline_ms, bool traced) {
+Phase RunPhase(Clients& c, bool storm, double seconds) {
+  Phase phase;
+  Usage u0 = ReadUsage();
+  double t0 = NowMs();
+  double deadline = t0 + seconds * 1000.0;
   std::vector<std::thread> threads;
   for (int k = 0; k < kClients; ++k) {
-    threads.emplace_back([&, k] { Client(c, k, deadline_ms, traced); });
+    threads.emplace_back([&, k] { Client(c, k, storm, deadline, &phase); });
   }
   for (std::thread& t : threads) t.join();
+  phase.cpu_s = (ReadUsage() - u0).cpu_s;
+  phase.wall_s = (NowMs() - t0) / 1000.0;
+  return phase;
 }
 
 RunResult RunTenants(const TenantShape& shape, const RunOptions& options) {
@@ -556,19 +592,20 @@ RunResult RunTenants(const TenantShape& shape, const RunOptions& options) {
     for (int k = 0; k < kClients; ++k) {
       threads.emplace_back([&, k] {
         for (size_t t = static_cast<size_t>(k); t < pool.size(); t += kClients) {
-          solos[t] = RunSolo(pool[t], subs[static_cast<size_t>(pool[t].schema)]);
+          solos[t] = RunSolo(pool[t], subs[static_cast<size_t>(pool[t].schema)],
+                             options.trace);
         }
       });
     }
     for (std::thread& t : threads) t.join();
   }
   size_t working_set = 0;
-  int overstated = 0;
+  AnswerQuality quality;
   int ties = 0;
   for (size_t t = 0; t < solos.size(); ++t) {
     result.Check(solos[t].violations, StrFormat("solo trace %zu", t));
     working_set += solos[t].working_set_bytes;
-    overstated += solos[t].overstated;
+    quality.Merge(solos[t].quality);
     ties += solos[t].ties;
   }
 
@@ -604,6 +641,7 @@ RunResult RunTenants(const TenantShape& shape, const RunOptions& options) {
   clients.fleet = &fleet;
   clients.pool = &pool;
   clients.solos = &solos;
+  clients.traced = options.trace;
   // Warm-up: every pool trace once (the cold wave), not recorded.
   {
     double warm_t0 = NowMs();
@@ -629,7 +667,8 @@ RunResult RunTenants(const TenantShape& shape, const RunOptions& options) {
                                   .backend->catalog(),
                               hooks);
           uint64_t attempted = 0;
-          if (!script.Run(&attempted)) {
+          uint64_t failed = 0;
+          if (!script.Run(&attempted, &failed)) {
             std::lock_guard<std::mutex> lock(clients.mu);
             clients.violations.push_back("warm-up: " + script.failure().ToString());
           }
@@ -645,22 +684,38 @@ RunResult RunTenants(const TenantShape& shape, const RunOptions& options) {
   dbdesign::TuningServerStats s0 = fleet.server->stats();
   uint64_t calls0 = 0;
   for (const Substrate& sub : fleet.subs) calls0 += sub.backend->num_optimizer_calls();
+  RssSampler rss;
+  rss.Resume();
   Usage u0 = ReadUsage();
   double t0 = NowMs();
-  RunClients(clients, t0 + options.seconds * 1000.0, options.trace);
+  Phase storm = RunPhase(clients, /*storm=*/true, options.seconds / 2);
+  Phase wave = RunPhase(clients, /*storm=*/false, options.seconds / 2);
   double wall_s = (NowMs() - t0) / 1000.0;
   Usage u1 = ReadUsage();
+  rss.Pause();
   dbdesign::TuningServerStats s1 = fleet.server->stats();
 
-  result.attempted = clients.attempted;
-  result.failed = clients.failed;
+  result.attempted = storm.attempted + wave.attempted;
+  result.failed = storm.failed + wave.failed;
   result.Check(clients.violations, "tenants");
-  double tenants = static_cast<double>(clients.tenants);
-  result.Note(StrFormat("%d schemas x %d traces of %d+%d queries, %d clients, "
-                        "%llu tenants",
+  // Loads and new tenants come from the wave, the edits and plans from
+  // the storm: each phase's own operations.
+  OpSamples ops;
+  ops.trace_load = wave.ops.trace_load;
+  ops.recommend_cold = wave.ops.recommend_cold;
+  ops.refine = storm.ops.refine;
+  ops.workload_delta = storm.ops.workload_delta;
+  ops.plan = storm.ops.plan;
+  double tenants = static_cast<double>(storm.tenants + wave.tenants);
+  result.Note(StrFormat("%d schemas x %d traces of %d+%d queries, %d clients; "
+                        "refine storm %llu tenants in %.3f s, new-tenant wave "
+                        "%llu tenants in %.3f s",
                         shape.schemas, shape.traces_per_schema,
                         shape.trace_queries, shape.batch_queries, kClients,
-                        static_cast<unsigned long long>(clients.tenants)));
+                        static_cast<unsigned long long>(storm.tenants),
+                        storm.wall_s,
+                        static_cast<unsigned long long>(wave.tenants),
+                        wave.wall_s));
   result.Note(StrFormat("atom store: working set %zu bytes, budget %s, peak hot "
                         "%zu bytes",
                         working_set,
@@ -670,10 +725,10 @@ RunResult RunTenants(const TenantShape& shape, const RunOptions& options) {
                                             .c_str()
                                       : "unbounded",
                         s1.atom_peak_hot_bytes));
-  result.Note(StrFormat("solo answers claiming a cost above the backend price: "
-                        "%d of %zu; refines choosing another index set than a "
-                        "fresh session at the same cost: %d",
-                        overstated, 5 * pool.size(), ties));
+  result.Note("solo answers: " + quality.Describe());
+  result.Note(StrFormat("solo refines choosing another index set than a fresh "
+                        "session at the same cost: %d",
+                        ties));
   if (shape.bounded &&
       s1.atom_peak_hot_bytes > server_options.cache_budget.atom_store_bytes) {
     result.Check({StrFormat("peak hot bytes %zu exceed the budget %zu",
@@ -683,7 +738,13 @@ RunResult RunTenants(const TenantShape& shape, const RunOptions& options) {
   }
 
   if (!options.trace) {
-    ReportEndToEnd(clients.ops, Median(setups), wall_s, u1.max_rss_mb, &result);
+    double requests = static_cast<double>(wave.attempted - wave.failed);
+    ReportEndToEnd(ops, Median(setups), requests / wave.cpu_s, rss.PeakMb(),
+                   quality, &result);
+    result.Note(StrFormat("new-tenant wave: %.0f requests in %.3f s, %.3f "
+                          "CPU s (%.0f req/s)",
+                          requests, wave.wall_s, wave.cpu_s,
+                          requests / wave.wall_s));
   } else {
     LayerReport& l = clients.layers;
     const dbdesign::AtomStoreStats& a0 = s0.atoms;
@@ -726,6 +787,7 @@ RunResult RunTenants(const TenantShape& shape, const RunOptions& options) {
     l.Set("workload.compression_factor",
           classes > 0 ? l.Get("trace.raw_queries") / classes : 0.0);
     ReportProcess(u1 - u0, wall_s, &l);
+    ReportQuality(quality, &l);
     l.Set("trace.sessions", tenants);
     double op_ms = l.Get("trace.op_ms");
     double spans = l.Get("sql.parse_bind_ms") + l.Get("workload.compress_ms") +
@@ -734,7 +796,7 @@ RunResult RunTenants(const TenantShape& shape, const RunOptions& options) {
     l.Set("trace.coverage", op_ms > 0 ? spans / op_ms : 0.0);
     l.Emit(tenants, &result);
   }
-  result.Note("new tenants     " + clients.ops.recommend_cold.Describe());
+  result.Note("new tenants     " + ops.recommend_cold.Describe());
 
   fleet.Reset();
   if (!spill_dir.empty()) std::filesystem::remove_all(spill_dir);

@@ -1,6 +1,6 @@
 // TimingBackend: a DbmsBackend decorator that forwards every call to the
-// wrapped backend and records how many cost calls crossed the seam, how
-// many of them were batches, and how long they took. Traced runs
+// wrapped backend and records how many batched cost calls crossed the
+// seam and how long all cost calls took. Traced runs
 // register it in place of the plain backend; untraced runs never see it.
 
 #ifndef PERFBENCH_TIMING_BACKEND_H_
@@ -65,8 +65,7 @@ class TimingBackend final : public dbdesign::DbmsBackend {
   }
   void ResetCallCount() override { inner_->ResetCallCount(); }
 
-  /// Seam calls (single and batched) and batched calls alone.
-  uint64_t calls() const { return calls_.load(); }
+  /// Batched cost calls that crossed the seam.
   uint64_t batches() const { return batches_.load(); }
   /// Wall time spent inside the wrapped backend, summed over threads.
   double busy_ms() const { return static_cast<double>(busy_ns_.load()) / 1e6; }
@@ -75,7 +74,6 @@ class TimingBackend final : public dbdesign::DbmsBackend {
   void Record(int64_t ns, bool batch);
 
   dbdesign::DbmsBackend* inner_;
-  std::atomic<uint64_t> calls_{0};
   std::atomic<uint64_t> batches_{0};
   std::atomic<int64_t> busy_ns_{0};
 };
